@@ -5,14 +5,16 @@
 //! Lanes:
 //! * `sequential` — the ScheduledTrainer PB emulation (one thread, no
 //!   transport), the bit-exactness reference;
-//! * `threaded` — the PR5 in-process threaded pipeline;
+//! * `threaded` — the in-process threaded pipeline: one thread per stage
+//!   running the shared stage-group loop over channels;
 //! * `dist-unix wN` — N rank threads chained over Unix-domain sockets,
 //!   every activation/gradient framed through the wire codec.
 //!
-//! The distributed lanes are verified bit-identical to the sequential
-//! lane before their timing is recorded, so the numbers can't drift away
-//! from a correct run. `PBP_BENCH_SMOKE=1` shrinks the workload for the
-//! scripts/check.sh gate.
+//! The threaded and distributed lanes are verified bit-identical to the
+//! sequential lane before their timing is recorded, so the numbers can't
+//! drift away from a correct run. `PBP_BENCH_SMOKE=1` shrinks the workload
+//! for the scripts/check.sh gate and leaves the committed
+//! `results/BENCH_dist.json` untouched.
 
 use pbp_data::{spirals, Dataset};
 use pbp_dist::{
@@ -74,16 +76,43 @@ fn run_sequential(layers: &[usize], data: &Dataset, epochs: usize) -> (LaneResul
     )
 }
 
-fn run_threaded(layers: &[usize], data: &Dataset, epochs: usize) -> LaneResult {
+fn run_threaded(
+    layers: &[usize],
+    data: &Dataset,
+    epochs: usize,
+    reference: &Network,
+) -> LaneResult {
     let mut engine = ThreadedPipeline::new(fresh_net(layers), ThreadedConfig::pb(schedule()));
     let start = Instant::now();
     for epoch in 0..epochs {
         TrainEngine::train_epoch(&mut engine, data, ORDER_SEED, epoch);
     }
+    let wall = start.elapsed();
+    assert_bit_identical(&engine.into_network(), reference, "threaded");
     LaneResult {
         label: "threaded PB".into(),
         samples: epochs * data.len(),
-        wall: start.elapsed(),
+        wall,
+    }
+}
+
+/// Differential guard: a fast-but-wrong lane must not be reported.
+fn assert_bit_identical(net: &Network, reference: &Network, lane: &str) {
+    for s in 0..net.num_stages() {
+        for (p, q) in net
+            .stage(s)
+            .params()
+            .iter()
+            .zip(reference.stage(s).params())
+        {
+            for (x, y) in p.as_slice().iter().zip(q.as_slice()) {
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "{lane} stage {s} diverged from the sequential reference"
+                );
+            }
+        }
     }
 }
 
@@ -140,26 +169,10 @@ fn run_dist(
     let wall = start.elapsed();
     let _ = std::fs::remove_dir_all(&dir);
 
-    // Differential guard: a fast-but-wrong lane must not be reported.
     let mut net = fresh_net(layers);
     let nets: Vec<Network> = outcomes.into_iter().map(|o| o.net).collect();
     splice_owned_stages(&mut net, &topology, &nets);
-    for s in 0..net.num_stages() {
-        for (p, q) in net
-            .stage(s)
-            .params()
-            .iter()
-            .zip(reference.stage(s).params())
-        {
-            for (x, y) in p.as_slice().iter().zip(q.as_slice()) {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "dist w{world} stage {s} diverged from the sequential reference"
-                );
-            }
-        }
-    }
+    assert_bit_identical(&net, reference, &format!("dist w{world}"));
     LaneResult {
         label: format!("dist-unix w{world} PB"),
         samples: total,
@@ -188,7 +201,7 @@ fn main() {
 
     let (seq, reference) = run_sequential(&layers, &data, epochs);
     let mut lanes = vec![seq];
-    lanes.push(run_threaded(&layers, &data, epochs));
+    lanes.push(run_threaded(&layers, &data, epochs, &reference));
     for world in [2usize, 4] {
         lanes.push(run_dist(&layers, &data, epochs, world, &reference));
     }
@@ -216,6 +229,10 @@ fn main() {
         ));
     }
     json.push_str("  ]\n}\n");
+    if smoke {
+        eprintln!("   smoke mode: results/BENCH_dist.json left untouched");
+        return;
+    }
     std::fs::create_dir_all("results").expect("results dir");
     std::fs::write("results/BENCH_dist.json", json).expect("write results/BENCH_dist.json");
     eprintln!("   wrote results/BENCH_dist.json");

@@ -115,7 +115,8 @@ fn closed_loop_lane(inputs: &[Tensor], reference: &[Tensor], max_batch: usize) -
         ServeConfig {
             max_batch,
             deadline: Duration::from_micros(500),
-            ..ServeConfig::default()
+            // Every request is in the queue at once.
+            queue: inputs.len(),
         },
     );
     let client = server.client();

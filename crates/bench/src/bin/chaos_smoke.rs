@@ -77,7 +77,6 @@ fn main() {
         "both injected faults should have fired (restarts = {})",
         outcome.restarts
     );
-    assert!(!outcome.degraded, "transient faults must not degrade");
     assert!(outcome
         .events
         .iter()

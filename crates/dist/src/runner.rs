@@ -2,35 +2,18 @@
 //! slice of a [`MicrobatchSchedule`] action stream against socket
 //! neighbors.
 //!
-//! ## Bit-identity with the sequential core
-//!
-//! Every per-stage operation goes through the same
-//! [`StageCell`](pbp_pipeline::StageCell) methods the single-process
-//! [`ScheduleCore`](pbp_pipeline::ScheduledTrainer) calls, in the same
-//! per-stage order: forwards in microbatch order, backward actions in the
-//! plan's exact action-stream order, one `push_next_version` per
-//! microbatch. Cross-stage the runner *interleaves* differently — a rank
-//! runs ahead on forwards while downstream ranks still work on earlier
-//! microbatches — but the cell's ordering contract makes any such
-//! interleaving bit-identical: forwards read only queued weight versions
-//! (popped in push order) and backward actions mutate only that stage's
-//! weights. Two things need care beyond the contract:
-//!
-//! * **Hyperparameters** are applied at the *backward* boundary (before
-//!   the backward actions of each update window's first microbatch), not
-//!   at forward time. They only affect backward-phase operations —
-//!   updates, SpecTrain's re-prediction, the version pushed by
-//!   `push_next_version` — so this matches the sequential core exactly
-//!   even when forwards have run ahead.
-//! * **Run-ahead is bounded** by the smallest version lag among the
-//!   rank's stages: a forward may not outrun its weight-version queue.
+//! The per-microbatch work is the shared
+//! [`StageGroup`](pbp_pipeline::StageGroup) loop of `pbp-pipeline` — the
+//! same loop the threaded engine runs over channels — driven here over
+//! [`ReliableConn`] frames. Its module docs give the bit-identity
+//! argument; this runner adds what only a process needs: the data feed,
+//! link setup and shutdown, snapshots, heartbeats and rewind.
 //!
 //! ## Dataflow
 //!
 //! Rank 0 feeds microbatches from the dataset in the deterministic
-//! `(seed, epoch)` order; activations flow downstream carrying the label,
-//! so only the last rank — which owns the loss stage — needs it.
-//! Gradients flow upstream carrying the microbatch's loss, so every rank
+//! `(seed, epoch)` order the sequential core uses; activations carry the
+//! label downstream and gradients carry the loss upstream, so every rank
 //! ends the run with the identical loss sum in the identical f64
 //! summation order.
 //!
@@ -52,16 +35,17 @@ use crate::reliable::{LinkEndpoint, LinkIdentity, LinkOptions, ReconnectPolicy, 
 use crate::topology::{fold, Topology};
 use crate::transport::Connection;
 use pbp_data::Dataset;
-use pbp_nn::loss::softmax_cross_entropy;
-use pbp_nn::Network;
+use pbp_nn::{LaneStack, Network};
 use pbp_optim::{LrSchedule, Mitigation};
-use pbp_pipeline::{MicrobatchSchedule, StageCell};
+use pbp_pipeline::{
+    with_batch_dim, MetricsRecorder, MicrobatchSchedule, StageGroup, StageLink, Step,
+};
 use pbp_snapshot::{
     rank_prefix, snapshot_file_name, SnapshotArchive, SnapshotBuilder, SnapshotError, StateReader,
     StateWriter,
 };
-use pbp_trace::{Lane, TracePhase, Tracer, PID_WALL};
-use std::collections::VecDeque;
+use pbp_tensor::Tensor;
+use pbp_trace::{TracePhase, Tracer, PID_WALL};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -298,22 +282,10 @@ pub fn run_rank(
 struct Rank<'a> {
     spec: &'a RankSpec,
     net: Network,
-    /// One cell per owned stage, indexed by `global_stage - range.start`.
-    cells: Vec<StageCell>,
-    upstream: Option<ReliableConn>,
-    downstream: Option<ReliableConn>,
-    metrics: pbp_pipeline::MetricsRecorder,
-    lanes: Option<Vec<Lane>>,
-    /// Global microbatch index of the next forward / backward.
-    next_fwd: usize,
-    next_bwd: usize,
-    /// Loss gradients computed at forward time, waiting for their
-    /// backward turn (last rank only).
-    pending: VecDeque<(pbp_tensor::Tensor, f32)>,
-    loss_sum: f64,
-    /// Cached epoch order for rank 0's data feed.
-    order: Vec<usize>,
-    order_epoch: usize,
+    /// The shared loop over this rank's owned stages.
+    group: StageGroup,
+    links: RankLinks,
+    feed: EpochFeed,
     /// Heartbeat counter (monotonic per link pair).
     beat: u64,
     /// Snapshot counters this process wrote, oldest first (for pruning).
@@ -324,38 +296,144 @@ struct Rank<'a> {
     seen_reconnects: u64,
 }
 
+/// Rank 0's data feed: the deterministic `(seed, epoch)` order, cached
+/// per epoch.
+struct EpochFeed {
+    seed: u64,
+    order: Vec<usize>,
+    epoch: usize,
+}
+
+impl EpochFeed {
+    fn sample(&mut self, data: &Dataset, mb: usize) -> (usize, Tensor) {
+        let epoch = mb / data.len();
+        if epoch != self.epoch {
+            self.order = data.epoch_order(self.seed, epoch);
+            self.epoch = epoch;
+        }
+        let (x, label) = data.sample(self.order[mb % data.len()]);
+        (label, with_batch_dim(x))
+    }
+}
+
+/// A rank's two socket links as the stage group's [`StageLink`]: data
+/// frames over [`ReliableConn`], desynchronized streams reported as
+/// [`DistError::Corrupt`].
+struct RankLinks {
+    upstream: Option<ReliableConn>,
+    downstream: Option<ReliableConn>,
+    stall: Duration,
+}
+
+impl RankLinks {
+    fn conns(&mut self) -> impl Iterator<Item = &mut ReliableConn> {
+        self.upstream.iter_mut().chain(self.downstream.iter_mut())
+    }
+}
+
+fn desync(what: &str, got: u64, mb: usize) -> DistError {
+    DistError::Corrupt(format!(
+        "{what} for microbatch {got}, expected {mb} (link desynchronized)"
+    ))
+}
+
+impl StageLink for RankLinks {
+    type Error = DistError;
+
+    fn send_activation(
+        &mut self,
+        mb: usize,
+        label: usize,
+        lanes: LaneStack,
+        version: u64,
+    ) -> Result<(), DistError> {
+        // seq 0 is a placeholder; the reliable link stamps the real
+        // session sequence number on send.
+        let down = self.downstream.as_mut().expect("not the last rank");
+        down.send(&Frame::Activation {
+            seq: 0,
+            microbatch: mb as u64,
+            weight_version: version,
+            label: label as u32,
+            lanes,
+        })
+    }
+
+    fn recv_activation(&mut self, mb: usize) -> Result<(usize, LaneStack), DistError> {
+        let up = self.upstream.as_mut().expect("not rank 0");
+        match up.recv_data(self.stall)? {
+            Frame::Activation {
+                microbatch,
+                label,
+                lanes,
+                ..
+            } if microbatch == mb as u64 => Ok((label as usize, lanes)),
+            Frame::Activation { microbatch, .. } => Err(desync("activation", microbatch, mb)),
+            other => Err(DistError::Corrupt(format!(
+                "expected activation, got {}",
+                other.kind_name()
+            ))),
+        }
+    }
+
+    fn send_gradient(
+        &mut self,
+        mb: usize,
+        loss: f32,
+        lanes: LaneStack,
+        version: u64,
+    ) -> Result<(), DistError> {
+        let up = self.upstream.as_mut().expect("not rank 0");
+        up.send(&Frame::Gradient {
+            seq: 0,
+            microbatch: mb as u64,
+            weight_version: version,
+            loss,
+            lanes,
+        })
+    }
+
+    fn recv_gradient(&mut self, mb: usize) -> Result<(f32, LaneStack), DistError> {
+        let down = self.downstream.as_mut().expect("not the last rank");
+        match down.recv_data(self.stall)? {
+            Frame::Gradient {
+                microbatch,
+                loss,
+                lanes,
+                ..
+            } if microbatch == mb as u64 => Ok((loss, lanes)),
+            Frame::Gradient { microbatch, .. } => Err(desync("gradient", microbatch, mb)),
+            other => Err(DistError::Corrupt(format!(
+                "expected gradient, got {}",
+                other.kind_name()
+            ))),
+        }
+    }
+}
+
 impl<'a> Rank<'a> {
     fn new(
-        net: Network,
+        mut net: Network,
         spec: &'a RankSpec,
         upstream: Option<LinkEndpoint>,
         downstream: Option<LinkEndpoint>,
         tracer: Option<&Tracer>,
     ) -> Result<Self, DistError> {
-        let pipeline_stages = spec.topology.pipeline_stages();
-        let hp = spec.schedule.at(0);
         let range = spec.topology.range(spec.rank);
-        let cells = range
-            .clone()
-            .map(|s| {
-                StageCell::new(
-                    net.stage(s),
-                    s,
-                    pipeline_stages,
-                    &spec.plan,
-                    spec.mitigation,
-                    spec.weight_stashing,
-                    hp,
-                    None,
-                )
-            })
-            .collect();
-        let lanes = tracer.filter(|t| t.enabled()).map(|t| {
+        let mut group = StageGroup::new(
+            &net.stages_mut()[range.clone()],
+            range.clone(),
+            spec.topology.layer_stages(),
+            spec.plan,
+            spec.mitigation,
+            spec.weight_stashing,
+            spec.schedule.clone(),
+        );
+        group.set_lanes(tracer.filter(|t| t.enabled()).map(|t| {
             range
-                .clone()
                 .map(|s| t.lane(PID_WALL, format!("rank{}/stage-{s}", spec.rank), s as i64))
                 .collect()
-        });
+        }));
         let digest = spec.digest();
         let world = spec.topology.world() as u32;
         let me = spec.rank as u32;
@@ -402,18 +480,18 @@ impl<'a> Rank<'a> {
         });
         Ok(Rank {
             spec,
-            metrics: pbp_pipeline::MetricsRecorder::new(net.num_stages()),
             net,
-            cells,
-            upstream,
-            downstream,
-            lanes,
-            next_fwd: 0,
-            next_bwd: 0,
-            pending: VecDeque::new(),
-            loss_sum: 0.0,
-            order: Vec::new(),
-            order_epoch: usize::MAX,
+            group,
+            links: RankLinks {
+                upstream,
+                downstream,
+                stall: spec.stall,
+            },
+            feed: EpochFeed {
+                seed: spec.seed,
+                order: Vec::new(),
+                epoch: usize::MAX,
+            },
             beat: 0,
             written: Vec::new(),
             generation: spec.recovery.generation,
@@ -429,53 +507,39 @@ impl<'a> Rank<'a> {
     /// accepting downstream lets the chain come up from rank 0 without
     /// deadlock.
     fn establish_links(&mut self) -> Result<(), DistError> {
-        if let Some(up) = self.upstream.as_mut() {
-            up.establish()?;
-        }
-        if let Some(down) = self.downstream.as_mut() {
-            down.establish()?;
+        for conn in self.links.conns() {
+            conn.establish()?;
         }
         Ok(())
-    }
-
-    /// The run-ahead bound: the smallest version lag among owned stages
-    /// (queues hold `lag + 1` versions; a forward may not outrun them).
-    fn max_inflight(&self) -> usize {
-        self.cells
-            .iter()
-            .map(StageCell::version_lag)
-            .min()
-            .expect("every rank owns at least one stage")
-    }
-
-    fn in_flight(&self) -> usize {
-        self.next_fwd - self.next_bwd
     }
 
     /// The forward cap: forwards may not cross the next snapshot
     /// boundary until backwards catch up (drain barrier).
     fn fwd_cap(&self) -> usize {
         match &self.spec.snapshots {
-            Some(snaps) => (self.next_bwd / snaps.every + 1) * snaps.every,
+            Some(snaps) => (self.group.samples_seen() / snaps.every + 1) * snaps.every,
             None => usize::MAX,
         }
     }
 
     fn run(&mut self, data: &Dataset) -> Result<(), DistError> {
         let total = self.spec.total_microbatches;
-        let max_inflight = self.max_inflight();
-        while self.next_bwd < total {
-            let can_fwd = self.next_fwd < total
-                && self.next_fwd < self.fwd_cap()
-                && self.in_flight() <= max_inflight;
-            if can_fwd {
-                self.forward_one(data)?;
-            } else {
-                self.backward_one()?;
+        let range = self.range();
+        while self.group.samples_seen() < total {
+            let fwd_cap = self.fwd_cap();
+            let step = self.group.step(
+                &mut self.net.stages_mut()[range.clone()],
+                &mut self.links,
+                &mut |mb| self.feed.sample(data, mb),
+                total,
+                fwd_cap,
+            )?;
+            if let Step::Backward(_) = step {
+                self.after_backward()?;
             }
             self.note_reconnects();
         }
-        self.flush_lanes();
+        self.group.flush_lanes();
         // Final snapshot (unconditional): the launcher assembles the full
         // network from every rank's state at the end of the run.
         if self.spec.snapshots.is_some() && self.written.last() != Some(&total) {
@@ -489,17 +553,12 @@ impl<'a> Rank<'a> {
         let bye = Frame::Shutdown {
             rank: self.spec.rank as u32,
         };
-        if let Some(up) = self.upstream.as_mut() {
-            let _ = up.send(&bye);
+        for conn in self.links.conns() {
+            let _ = conn.send(&bye);
         }
-        if let Some(down) = self.downstream.as_mut() {
-            let _ = down.send(&bye);
-        }
-        if let Some(up) = self.upstream.as_mut() {
-            up.drain_shutdown(self.spec.stall);
-        }
-        if let Some(down) = self.downstream.as_mut() {
-            down.drain_shutdown(self.spec.stall);
+        let stall = self.spec.stall;
+        for conn in self.links.conns() {
+            conn.drain_shutdown(stall);
         }
         Ok(())
     }
@@ -507,244 +566,41 @@ impl<'a> Rank<'a> {
     /// Surfaces link reconnects as `Reconnect` trace instants on the
     /// rank's first lane, one per reconnect since the last check.
     fn note_reconnects(&mut self) {
-        let total = self.upstream.as_ref().map_or(0, ReliableConn::reconnects)
-            + self.downstream.as_ref().map_or(0, ReliableConn::reconnects);
+        let total: u64 = self.links.conns().map(|c| c.reconnects()).sum();
         while self.seen_reconnects < total {
             self.seen_reconnects += 1;
-            if let Some(lanes) = self.lanes.as_mut() {
-                lanes[0].instant(
-                    TracePhase::Reconnect,
-                    Some(format!(
-                        "rank {} link reconnect {}",
-                        self.spec.rank, self.seen_reconnects
-                    )),
-                );
-            }
+            self.group.instant(
+                TracePhase::Reconnect,
+                format!(
+                    "rank {} link reconnect {}",
+                    self.spec.rank, self.seen_reconnects
+                ),
+            );
         }
     }
 
-    fn forward_one(&mut self, data: &Dataset) -> Result<(), DistError> {
-        let mb = self.next_fwd;
-        let range = self.range();
-        let (mut stack, label) = match self.upstream.as_mut() {
-            None => {
-                // Rank 0 feeds from the dataset in the deterministic
-                // (seed, epoch) order the sequential core uses.
-                let epoch = mb / data.len();
-                if epoch != self.order_epoch {
-                    self.order = data.epoch_order(self.spec.seed, epoch);
-                    self.order_epoch = epoch;
-                }
-                let (x, label) = data.sample(self.order[mb % data.len()]);
-                let mut shape = vec![1usize];
-                shape.extend_from_slice(x.shape());
-                let batched = x.reshape(&shape).expect("same volume");
-                (vec![batched], label)
-            }
-            Some(up) => match up.recv_data(self.spec.stall)? {
-                Frame::Activation {
-                    microbatch,
-                    label,
-                    lanes,
-                    ..
-                } => {
-                    if microbatch != mb as u64 {
-                        return Err(DistError::Corrupt(format!(
-                            "activation for microbatch {microbatch}, expected {mb} \
-                             (link desynchronized)"
-                        )));
-                    }
-                    (lanes, label as usize)
-                }
-                other => {
-                    return Err(DistError::Corrupt(format!(
-                        "expected activation, got {}",
-                        other.kind_name()
-                    )))
-                }
-            },
-        };
-        for (local, s) in range.clone().enumerate() {
-            let t0 = Instant::now();
-            if let Some(lanes) = self.lanes.as_mut() {
-                lanes[local].begin(
-                    TracePhase::Forward,
-                    Some(mb as u64),
-                    Some(self.metrics.stage_updates(s)),
-                );
-            }
-            self.cells[local].forward(self.net.stage_mut(s), &mut stack);
-            if let Some(lanes) = self.lanes.as_mut() {
-                lanes[local].end();
-            }
-            self.metrics.add_busy_ns(s, t0.elapsed().as_nanos());
-        }
-        match self.downstream.as_mut() {
-            None => {
-                // Last rank: the loss stage is local. Compute the loss
-                // gradient now and queue it for this microbatch's
-                // backward turn.
-                assert_eq!(stack.len(), 1, "network must reduce to a single lane");
-                let logits = stack.pop().expect("non-empty");
-                let (loss, grad) = softmax_cross_entropy(&logits, &[label]);
-                let m = self.spec.plan.microbatches_per_update();
-                let grad = if m > 1 {
-                    grad.scale(1.0 / m as f32)
-                } else {
-                    grad
-                };
-                self.pending.push_back((grad, loss));
-            }
-            Some(down) => {
-                // seq 0 is a placeholder; the reliable link stamps the
-                // real session sequence number on send.
-                down.send(&Frame::Activation {
-                    seq: 0,
-                    microbatch: mb as u64,
-                    weight_version: self.metrics.stage_updates(range.end - 1),
-                    label: label as u32,
-                    lanes: stack,
-                })?;
-            }
-        }
-        self.next_fwd += 1;
-        Ok(())
-    }
-
-    fn backward_one(&mut self) -> Result<(), DistError> {
-        let mb = self.next_bwd;
-        let range = self.range();
-        let m = self.spec.plan.microbatches_per_update();
-        let first_of_update = mb.is_multiple_of(m);
-        if first_of_update {
-            // Hyperparameters bind at the backward boundary: they only
-            // affect backward-phase operations, so this matches the
-            // sequential core even with forward run-ahead.
-            let hp = self.spec.schedule.at(mb);
-            for cell in &mut self.cells {
-                cell.set_hyperparams(hp);
-            }
-        }
-        let (mut gstack, mb_loss) = match self.downstream.as_mut() {
-            None => {
-                let (grad, loss) = self
-                    .pending
-                    .pop_front()
-                    .expect("backward chosen only with a microbatch in flight");
-                (vec![grad], loss)
-            }
-            Some(down) => match down.recv_data(self.spec.stall)? {
-                Frame::Gradient {
-                    microbatch,
-                    loss,
-                    lanes,
-                    ..
-                } => {
-                    if microbatch != mb as u64 {
-                        return Err(DistError::Corrupt(format!(
-                            "gradient for microbatch {microbatch}, expected {mb} \
-                             (link desynchronized)"
-                        )));
-                    }
-                    (lanes, loss)
-                }
-                other => {
-                    return Err(DistError::Corrupt(format!(
-                        "expected gradient, got {}",
-                        other.kind_name()
-                    )))
-                }
-            },
-        };
-        self.loss_sum += mb_loss as f64;
-        let actions = self.spec.plan.stage_actions(mb);
-        for (local, s) in range.clone().enumerate().rev() {
-            let t0 = Instant::now();
-            let mut updated = false;
-            for action in &actions {
-                match *action {
-                    pbp_pipeline::Action::Forward(_) => {}
-                    pbp_pipeline::Action::BackwardInput(i) => {
-                        if let Some(lanes) = self.lanes.as_mut() {
-                            lanes[local].begin(
-                                TracePhase::BackwardInput,
-                                Some(i as u64),
-                                Some(self.metrics.stage_updates(s)),
-                            );
-                        }
-                        self.cells[local].backward_input(
-                            self.net.stage_mut(s),
-                            &mut gstack,
-                            first_of_update,
-                        );
-                        if let Some(lanes) = self.lanes.as_mut() {
-                            lanes[local].end();
-                        }
-                    }
-                    pbp_pipeline::Action::BackwardWeight(j) => {
-                        if let Some(lanes) = self.lanes.as_mut() {
-                            lanes[local].begin(
-                                TracePhase::BackwardWeight,
-                                Some(j as u64),
-                                Some(self.metrics.stage_updates(s)),
-                            );
-                        }
-                        self.cells[local].backward_weight(self.net.stage_mut(s));
-                        if let Some(lanes) = self.lanes.as_mut() {
-                            lanes[local].end();
-                        }
-                    }
-                    pbp_pipeline::Action::Update => {
-                        if self.cells[local].will_update(self.net.stage(s)) {
-                            if let Some(lanes) = self.lanes.as_mut() {
-                                lanes[local].begin(
-                                    TracePhase::Update,
-                                    Some(mb as u64),
-                                    Some(self.metrics.stage_updates(s) + 1),
-                                );
-                            }
-                            self.cells[local]
-                                .update(self.net.stage_mut(s), self.spec.plan.splits_backward());
-                            if let Some(lanes) = self.lanes.as_mut() {
-                                lanes[local].end();
-                            }
-                            updated = true;
-                        }
-                    }
-                }
-            }
-            self.cells[local].push_next_version(self.net.stage(s));
-            if updated {
-                self.metrics
-                    .record_update(s, self.cells[local].delay(), t0.elapsed().as_nanos());
-            } else {
-                self.metrics.add_busy_ns(s, t0.elapsed().as_nanos());
-            }
-        }
-        if let Some(up) = self.upstream.as_mut() {
-            up.send(&Frame::Gradient {
-                seq: 0,
-                microbatch: mb as u64,
-                weight_version: self.metrics.stage_updates(range.start),
-                loss: mb_loss,
-                lanes: gstack,
-            })?;
-        }
-        self.next_bwd += 1;
-        if self.spec.abort_after == Some(self.next_bwd) {
+    /// The injected crash and the snapshot cadence, checked after every
+    /// completed microbatch.
+    fn after_backward(&mut self) -> Result<(), DistError> {
+        let done = self.group.samples_seen();
+        if self.spec.abort_after == Some(done) {
             eprintln!(
-                "rank {}: injected abort after {} microbatches",
-                self.spec.rank, self.next_bwd
+                "rank {}: injected abort after {done} microbatches",
+                self.spec.rank
             );
             std::process::abort();
         }
         if let Some(snaps) = &self.spec.snapshots {
-            if self.next_bwd.is_multiple_of(snaps.every)
-                && self.next_bwd > self.spec.resume_at
-                && self.next_bwd < self.spec.total_microbatches
+            if done.is_multiple_of(snaps.every)
+                && done > self.spec.resume_at
+                && done < self.spec.total_microbatches
             {
-                debug_assert_eq!(self.in_flight(), 0, "snapshot requires a drained rank");
-                self.save_snapshot(self.next_bwd)?;
+                debug_assert_eq!(
+                    self.group.in_flight(),
+                    0,
+                    "snapshot requires a drained rank"
+                );
+                self.save_snapshot(done)?;
             }
         }
         Ok(())
@@ -758,11 +614,8 @@ impl<'a> Rank<'a> {
             rank: self.spec.rank as u32,
             beat: self.beat,
         };
-        if let Some(up) = self.upstream.as_mut() {
-            let _ = up.send(&frame);
-        }
-        if let Some(down) = self.downstream.as_mut() {
-            let _ = down.send(&frame);
+        for conn in self.links.conns() {
+            let _ = conn.send(&frame);
         }
     }
 
@@ -778,15 +631,15 @@ impl<'a> Rank<'a> {
         w.put_u32(self.spec.rank as u32);
         w.put_u32(self.spec.topology.world() as u32);
         w.put_u64(self.spec.digest());
-        w.put_usize(self.next_bwd);
-        w.put_f64(self.loss_sum);
-        w.put_u32(self.cells.len() as u32);
-        for cell in &self.cells {
+        w.put_usize(self.group.samples_seen());
+        w.put_f64(self.group.loss_sum());
+        w.put_u32(self.group.cells().len() as u32);
+        for cell in self.group.cells() {
             cell.write_state(&mut w);
         }
         snap.add_section(SECTION_DIST, w.into_bytes());
         let mut w = StateWriter::new();
-        pbp_snapshot::Snapshottable::write_state(&self.metrics, &mut w);
+        pbp_snapshot::Snapshottable::write_state(self.group.metrics(), &mut w);
         snap.add_section(SECTION_DIST_METRICS, w.into_bytes());
         let path = rank_snapshot_path(&dir, self.spec.rank, counter);
         snap.save_atomic(&path)?;
@@ -835,25 +688,26 @@ impl<'a> Rank<'a> {
             ))
             .into());
         }
-        self.loss_sum = r.take_f64()?;
+        let loss_sum = r.take_f64()?;
         let n = r.take_u32()? as usize;
-        if n != self.cells.len() {
+        if n != self.group.cells().len() {
             return Err(SnapshotError::Mismatch(format!(
                 "snapshot has {n} stage cells, rank owns {}",
-                self.cells.len()
+                self.group.cells().len()
             ))
             .into());
         }
         let first_owned = self.range().start;
-        for (local, cell) in self.cells.iter_mut().enumerate() {
+        for (local, cell) in self.group.cells_mut().iter_mut().enumerate() {
             cell.read_state(&mut r, "dist", first_owned + local)?;
         }
         r.finish()?;
         let mut r = StateReader::new(archive.section(SECTION_DIST_METRICS)?);
-        pbp_snapshot::Snapshottable::read_state(&mut self.metrics, &mut r)?;
+        let mut metrics = MetricsRecorder::new(self.net.num_stages());
+        pbp_snapshot::Snapshottable::read_state(&mut metrics, &mut r)?;
         r.finish()?;
-        self.next_fwd = counter;
-        self.next_bwd = counter;
+        self.group.set_metrics(metrics);
+        self.group.seek(counter, loss_sum);
         if !self.written.contains(&counter) {
             self.written.push(counter);
         }
@@ -895,31 +749,25 @@ impl<'a> Rank<'a> {
         }
         let snaps = self.spec.snapshots.as_ref().expect("validated");
         let dir = snaps.dir.clone();
-        if let Some(lanes) = self.lanes.as_mut() {
-            lanes[0].instant(
-                TracePhase::Fault,
-                Some(format!("rank {} parking for rewind: {err}", self.spec.rank)),
-            );
-        }
-        eprintln!("rank {}: parking for rewind: {err}", self.spec.rank);
+        let rank = self.spec.rank;
+        self.group.instant(
+            TracePhase::Fault,
+            format!("rank {rank} parking for rewind: {err}"),
+        );
+        eprintln!("rank {rank}: parking for rewind: {err}");
         // Drop both links so neighbors observe EOF immediately instead
         // of waiting out their stall windows, cascading the park down
         // the chain.
-        if let Some(up) = self.upstream.as_mut() {
-            up.disconnect();
+        for conn in self.links.conns() {
+            conn.disconnect();
         }
-        if let Some(down) = self.downstream.as_mut() {
-            down.disconnect();
-        }
-        if let Some(lanes) = self.lanes.as_mut() {
-            lanes[0].instant(
-                TracePhase::Backoff,
-                Some(format!(
-                    "rank {} awaiting rewind token past generation {}",
-                    self.spec.rank, self.generation
-                )),
-            );
-        }
+        self.group.instant(
+            TracePhase::Backoff,
+            format!(
+                "rank {rank} awaiting rewind token past generation {}",
+                self.generation
+            ),
+        );
         let deadline = Instant::now() + wait;
         let (generation, resume) = loop {
             if let Some((generation, resume)) = read_rewind_token(&dir) {
@@ -932,19 +780,11 @@ impl<'a> Rank<'a> {
             }
             std::thread::sleep(Duration::from_millis(10));
         };
-        if let Some(lanes) = self.lanes.as_mut() {
-            lanes[0].instant(
-                TracePhase::Restart,
-                Some(format!(
-                    "rank {} rewinding to microbatch {resume} at generation {generation}",
-                    self.spec.rank
-                )),
-            );
-        }
-        eprintln!(
-            "rank {}: rewinding to microbatch {resume} at generation {generation}",
-            self.spec.rank
+        self.group.instant(
+            TracePhase::Restart,
+            format!("rank {rank} rewinding to microbatch {resume} at generation {generation}"),
         );
+        eprintln!("rank {rank}: rewinding to microbatch {resume} at generation {generation}");
         self.rewind_to(generation, resume)
     }
 
@@ -956,46 +796,14 @@ impl<'a> Rank<'a> {
         // in the stages and never got their backward; a replayed
         // backward must not pop those stale entries.
         self.net.clear_stash();
-        let spec = self.spec;
-        let pipeline_stages = spec.topology.pipeline_stages();
-        let hp = spec.schedule.at(0);
-        self.cells = self
-            .range()
-            .map(|s| {
-                StageCell::new(
-                    self.net.stage(s),
-                    s,
-                    pipeline_stages,
-                    &spec.plan,
-                    spec.mitigation,
-                    spec.weight_stashing,
-                    hp,
-                    None,
-                )
-            })
-            .collect();
-        self.metrics = pbp_pipeline::MetricsRecorder::new(self.net.num_stages());
-        self.pending.clear();
-        self.loss_sum = 0.0;
-        self.next_fwd = 0;
-        self.next_bwd = 0;
+        let range = self.range();
+        self.group.reset(&self.net.stages_mut()[range]);
         self.generation = generation;
         self.restore(resume)?;
-        if let Some(up) = self.upstream.as_mut() {
-            up.begin_generation(generation);
-        }
-        if let Some(down) = self.downstream.as_mut() {
-            down.begin_generation(generation);
+        for conn in self.links.conns() {
+            conn.begin_generation(generation);
         }
         self.establish_links()
-    }
-
-    fn flush_lanes(&mut self) {
-        if let Some(lanes) = self.lanes.as_mut() {
-            for lane in lanes {
-                lane.flush();
-            }
-        }
     }
 
     fn finish(self) -> Result<RankOutcome, DistError> {
@@ -1005,11 +813,12 @@ impl<'a> Rank<'a> {
             self.spec.topology.world(),
             self.spec.plan.label()
         );
-        let metrics = self.metrics.snapshot(label, self.next_bwd, None);
+        let samples_seen = self.group.samples_seen();
+        let metrics = self.group.metrics().snapshot(label, samples_seen, None);
         Ok(RankOutcome {
+            loss_sum: self.group.loss_sum(),
             net: self.net,
-            samples_seen: self.next_bwd,
-            loss_sum: self.loss_sum,
+            samples_seen,
             metrics,
         })
     }

@@ -168,6 +168,23 @@ impl Stage {
             p.as_mut_slice().copy_from_slice(s.as_slice());
         }
     }
+
+    /// Exchanges the stage's parameters with `other` in place: the stage
+    /// takes `other`'s tensors and `other` receives the live ones. A
+    /// second call with the same vector swaps them back, so running under
+    /// a different weight version costs no copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layout disagrees with the stage.
+    pub fn swap_params(&mut self, other: &mut [Tensor]) {
+        let mut params = self.params_mut();
+        assert_eq!(params.len(), other.len(), "snapshot layout mismatch");
+        for (p, s) in params.iter_mut().zip(other) {
+            assert_eq!(p.shape(), s.shape(), "snapshot shape mismatch");
+            std::mem::swap(&mut **p, s);
+        }
+    }
 }
 
 /// A network as an ordered list of pipeline [`Stage`]s.
@@ -239,6 +256,12 @@ impl Network {
     /// Panics if `index` is out of bounds.
     pub fn stage_mut(&mut self, index: usize) -> &mut Stage {
         &mut self.stages[index]
+    }
+
+    /// Mutably borrows the stages in order — a stage group drives its
+    /// contiguous slice of them.
+    pub fn stages_mut(&mut self) -> &mut [Stage] {
+        &mut self.stages
     }
 
     /// Iterates over stages.

@@ -1,5 +1,4 @@
-//! The per-stage schedule-execution primitive shared by the sequential
-//! core and the distributed runner.
+//! The per-stage schedule-execution primitive shared by every runtime.
 //!
 //! [`StageCell`] owns everything one pipeline stage needs to execute its
 //! slice of a [`MicrobatchSchedule`](crate::MicrobatchSchedule) action
@@ -8,12 +7,13 @@
 //! the schedule's version lag plus one, and the stash of in-flight
 //! forward weights under weight stashing. The sequential
 //! [`ScheduleCore`](crate::scheduled) sweeps one microbatch through a
-//! `Vec<StageCell>`; the distributed runner in `pbp-dist` drives exactly
-//! one rank's cells against socket neighbors. Because both call the same
-//! methods in the same per-stage order, a multi-process run is
-//! bit-identical to the single-process emulation — the cross-process
-//! bit-identity invariant (DESIGN §12) reduces to this file being the
-//! only implementation of per-stage semantics.
+//! `Vec<StageCell>`; the [`StageGroup`](crate::StageGroup) loop — run by
+//! the threaded engine's stage threads and by `pbp-dist`'s ranks —
+//! drives one group's cells against its neighbours. Because both call
+//! the same methods in the same per-stage order, a threaded or
+//! multi-process run is bit-identical to the single-process emulation —
+//! the bit-identity invariant (DESIGN §12) reduces to this file being
+//! the only implementation of per-stage semantics.
 //!
 //! ## Ordering contract
 //!
@@ -116,27 +116,26 @@ impl StageCell {
     }
 
     /// Runs the stage's forward pass under the scheduled weight version:
-    /// pops the queue front, loads it (skipping the snapshot/load/restore
-    /// dance when the queued version is bit-identical to the live
+    /// pops the queue front, swaps it in for the pass and back out
+    /// (skipped when the queued version is bit-identical to the live
     /// weights — no lag, no forward prediction), and stashes the version
     /// under weight stashing.
     pub fn forward(&mut self, stage: &mut Stage, stack: &mut LaneStack) {
-        let fwd_w = self
+        let mut fwd_w = self
             .fwd_queue
             .pop_front()
             .expect("queue maintains lag+1 entries");
         // With no version lag and no forward prediction the queued
-        // version is bit-identical to the live weights, so the
-        // snapshot/load/restore dance is skipped — fill&drain falls
-        // out of the shared machinery at full speed.
+        // version is bit-identical to the live weights, so the swap is
+        // skipped — fill&drain falls out of the shared machinery at full
+        // speed.
         let live = self.version_lag == 0 && self.opt.config().fwd_horizon == 0.0;
         if fwd_w.is_empty() || live {
             stage.forward(stack);
         } else {
-            let current = stage.snapshot();
-            stage.load(&fwd_w);
+            stage.swap_params(&mut fwd_w);
             stage.forward(stack);
-            stage.load(&current);
+            stage.swap_params(&mut fwd_w);
         }
         if self.weight_stashing {
             self.stash.push_back(fwd_w);
@@ -171,11 +170,10 @@ impl StageCell {
             stage.zero_grads();
         }
         match bwd_override {
-            Some(bw) => {
-                let current = stage.snapshot();
-                stage.load(&bw);
+            Some(mut bw) => {
+                stage.swap_params(&mut bw);
                 stage.backward_input(gstack);
-                stage.load(&current);
+                stage.swap_params(&mut bw);
             }
             None => stage.backward_input(gstack),
         }

@@ -296,17 +296,7 @@ impl EngineSpec {
                 }
             ),
             EngineSpec::Asgd { distribution, .. } => format!("ASGD {distribution:?}"),
-            EngineSpec::Threaded(config) => {
-                if config.drains_per_sample() {
-                    "Threaded Fill&Drain".to_string()
-                } else {
-                    let mut label = format!("Threaded {}", config.mitigation.label());
-                    if config.weight_stashing {
-                        label.push_str("+WS");
-                    }
-                    label
-                }
-            }
+            EngineSpec::Threaded(config) => config.label(),
             EngineSpec::Scheduled(config) => config.label(),
         }
     }

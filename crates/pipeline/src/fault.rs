@@ -10,7 +10,8 @@
 //! across clones of the plan, so when a supervisor rebuilds the engine
 //! after a fault the same injection does not re-fire — modelling a
 //! transient hardware fault. Mark a spec [`FaultSpec::recurring`] to model
-//! a hard fault that survives restarts (the graceful-degradation path).
+//! a hard fault that survives restarts and so ends a supervised run in its
+//! typed error once the restarts run out.
 //!
 //! [`PipelineFault`] is what the supervised runtime returns instead of
 //! hanging or propagating a worker panic; [`RunError`] is the combined
@@ -45,7 +46,9 @@ pub enum FaultKind {
 pub struct FaultSpec {
     /// Layer-stage index the fault targets.
     pub stage: usize,
-    /// Stage-local update counter value at which the fault triggers.
+    /// Update index at which the fault triggers: it strikes right before
+    /// the stage's backward actions for this microbatch (its update of
+    /// that index under update size one).
     pub at_update: usize,
     /// What happens when it triggers.
     pub kind: FaultKind,
@@ -167,7 +170,7 @@ impl FaultPlan {
         plan
     }
 
-    /// The per-stage injector handed to a stage worker thread.
+    /// The injector for one stage, fired by the shared stage-group loop.
     pub(crate) fn injector_for(&self, stage: usize) -> FaultInjector {
         FaultInjector {
             specs: self
@@ -182,7 +185,7 @@ impl FaultPlan {
     }
 }
 
-/// What a stage worker should do before applying an update (the injection
+/// What a stage should do before its backward actions (the injection
 /// point).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum FaultAction {
@@ -196,7 +199,7 @@ pub(crate) enum FaultAction {
     Sever,
 }
 
-/// The slice of a [`FaultPlan`] owned by one stage worker.
+/// The slice of a [`FaultPlan`] aimed at one stage.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FaultInjector {
     specs: Vec<FaultSpec>,
@@ -274,19 +277,11 @@ pub enum PipelineFault {
         /// How long the stage had been silent when flagged.
         stalled_for: Duration,
     },
-    /// A channel the supervisor feeds or drains disconnected while work
-    /// was outstanding (a worker dropped its endpoints and exited).
+    /// A stage's link to a neighbour disconnected while work was
+    /// outstanding (the neighbour dropped its endpoints and exited).
     ChannelClosed {
-        /// Layer-stage index adjacent to the closed channel.
+        /// Layer-stage index that saw the link close.
         stage: usize,
-    },
-    /// All workers exited cleanly but fewer losses than samples came
-    /// back — in-flight work was stranded by a severed link.
-    Incomplete {
-        /// Samples fed into the pipeline.
-        expected: usize,
-        /// Losses actually reported.
-        completed: usize,
     },
 }
 
@@ -301,15 +296,6 @@ impl std::fmt::Display for PipelineFault {
             }
             PipelineFault::ChannelClosed { stage } => {
                 write!(f, "pipeline channel at stage {stage} closed unexpectedly")
-            }
-            PipelineFault::Incomplete {
-                expected,
-                completed,
-            } => {
-                write!(
-                    f,
-                    "pipeline completed {completed} of {expected} samples before all stages exited"
-                )
             }
         }
     }

@@ -21,8 +21,9 @@
 //!   size, with consistent or inconsistent weights (Figure 10) and
 //!   mitigation support (Figures 13, 14).
 //! * [`ThreadedPipeline`] — a real multi-threaded pipeline runtime (one OS
-//!   thread per stage, crossbeam channels) demonstrating that PB keeps all
-//!   workers busy while fill-and-drain idles them.
+//!   thread per stage, each running the shared [`StageGroup`] loop over
+//!   channels) demonstrating that PB keeps all workers busy while
+//!   fill-and-drain idles them, bit-identical to the sequential core.
 //! * [`schedule`] — the analytic utilization model behind Figure 2.
 //!
 //! All six engines implement the [`TrainEngine`] trait and share one
@@ -41,6 +42,7 @@ pub mod emulator;
 pub mod engine;
 pub mod fault;
 pub mod filldrain;
+pub mod group;
 pub mod memory;
 pub mod metrics;
 pub mod resume;
@@ -59,14 +61,15 @@ pub use emulator::{PbConfig, PipelinedTrainer};
 pub use engine::{run_training, EngineSpec, RunConfig, TrainEngine};
 pub use fault::{splitmix64, FaultKind, FaultPlan, FaultSpec, PipelineFault, RunError};
 pub use filldrain::FillDrainTrainer;
+pub use group::{with_batch_dim, StageGroup, StageLink, Step};
 pub use memory::MemoryModel;
 pub use metrics::{
     EngineMetrics, JsonSink, MetricsRecorder, MetricsSink, NoHooks, StageCounters, TraceHooks,
     TrainHooks,
 };
 pub use resume::{
-    latest_snapshot, resume_degraded, resume_training, run_to_crash, run_training_with_snapshots,
-    SnapshotPolicy, SECTION_RUN,
+    latest_snapshot, resume_training, run_to_crash, run_training_with_snapshots, SnapshotPolicy,
+    SECTION_RUN,
 };
 pub use schedule::{
     fill_drain_utilization, pb_utilization, stage_delay, Action, MicrobatchSchedule, ScheduleModel,
@@ -75,7 +78,7 @@ pub use schedule::{
 pub use scheduled::{ScheduledConfig, ScheduledTrainer};
 pub use state::SECTION_ENGINE;
 pub use supervisor::{
-    degraded_spec, run_supervised, RecoveryPolicy, SupervisedOutcome, SupervisionEvent, Watchdog,
+    run_supervised, RecoveryPolicy, SupervisedOutcome, SupervisionEvent, Watchdog,
 };
 pub use threaded::{ThreadedConfig, ThreadedPipeline, ThroughputReport};
 pub use timeline::{emit_schedule_timeline, schedule_bubble_fraction};

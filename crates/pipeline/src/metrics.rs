@@ -184,6 +184,16 @@ impl MetricsRecorder {
         self.stages[stage].merge(counters);
     }
 
+    /// The counters of `stage`.
+    pub fn stage(&self, stage: usize) -> &StageCounters {
+        &self.stages[stage]
+    }
+
+    /// Wall time spent training so far.
+    pub fn train_ns(&self) -> u128 {
+        self.train_ns
+    }
+
     /// Updates applied at `stage` so far (the weight-version tag tracing
     /// attaches to spans).
     pub fn stage_updates(&self, stage: usize) -> u64 {
@@ -273,8 +283,8 @@ pub trait TrainHooks {
     }
 
     /// Called by [`run_supervised`](crate::supervisor::run_supervised) on
-    /// every supervision event: a detected fault, a snapshot restart, a
-    /// backoff sleep, or the switchover to the degraded engine.
+    /// every supervision event: a detected fault, a snapshot restart or a
+    /// backoff sleep.
     fn on_supervision_event(&mut self, event: &crate::supervisor::SupervisionEvent) {
         let _ = event;
     }
@@ -289,9 +299,9 @@ pub trait TrainHooks {
 
 /// A [`TrainHooks`] adapter that records supervision events and snapshot
 /// writes into a [`Tracer`](pbp_trace::Tracer) lane named `supervisor`,
-/// while forwarding every callback to an inner observer. Faults, restarts,
-/// backoffs and degradation switchovers become instant events; snapshot
-/// writes become spans covering the measured write time.
+/// while forwarding every callback to an inner observer. Faults, restarts
+/// and backoffs become instant events; snapshot writes become spans
+/// covering the measured write time.
 #[derive(Debug)]
 pub struct TraceHooks<H: TrainHooks> {
     tracer: pbp_trace::Tracer,
@@ -338,7 +348,6 @@ impl<H: TrainHooks> TrainHooks for TraceHooks<H> {
             SupervisionEvent::Fault { .. } => TracePhase::Fault,
             SupervisionEvent::Restart { .. } => TracePhase::Restart,
             SupervisionEvent::Backoff { .. } => TracePhase::Backoff,
-            SupervisionEvent::Degraded { .. } => TracePhase::Degraded,
         };
         self.lane.instant(phase, Some(event.to_string()));
         self.lane.flush();
@@ -403,7 +412,7 @@ pub struct JsonSink {
     runs: Vec<String>,
     /// Supervision events observed since the last recorded run; attached
     /// to the next run object as its `"supervision"` array, so fault
-    /// recoveries and degradation switchovers are visible in the output.
+    /// recoveries are visible in the output.
     supervision: Vec<String>,
 }
 

@@ -29,6 +29,7 @@
 
 use crate::cell::StageCell;
 use crate::engine::{batch_rows, run_training, RunConfig, TrainEngine};
+use crate::group::with_batch_dim;
 use crate::metrics::{EngineMetrics, MetricsRecorder, NoHooks};
 use crate::schedule::{fill_drain_utilization, pb_utilization, Action, MicrobatchSchedule};
 use crate::trainer::TrainReport;
@@ -149,13 +150,8 @@ impl ScheduleCore {
             1,
             "schedule must emit exactly one forward per microbatch"
         );
-        // Add the batch dimension.
-        let mut shape = vec![1usize];
-        shape.extend_from_slice(x.shape());
-        let batched = x.reshape(&shape).expect("same volume");
-
         // ---- Forward sweep: each stage under its scheduled version.
-        let mut stack = vec![batched];
+        let mut stack = vec![with_batch_dim(x)];
         for s in 0..self.net.num_stages() {
             let stage_start = Instant::now();
             if let Some(lanes) = self.lanes.as_mut() {

@@ -1,33 +1,30 @@
 //! Supervision of the threaded pipeline runtime: stall watchdog, panic
-//! containment, and recover-or-degrade orchestration.
+//! containment, and snapshot-backed recovery.
 //!
 //! Two layers:
 //!
 //! * **Stream supervision** ([`Watchdog`], [`StreamSupervisor`]): while a
 //!   threaded run is streaming, the calling thread doubles as a
 //!   supervisor. Workers emit rate-limited heartbeats and a final
-//!   completion report over an events channel; the supervisor feeds
-//!   samples with bounded waits, tracks the oldest heartbeat, and on a
-//!   panic report / silent stage / severed channel flips a shared abort
-//!   flag, drains what it can within a shutdown grace period, joins the
-//!   workers that reported in, detaches the rest, and surfaces a typed
-//!   [`PipelineFault`] instead of hanging.
+//!   completion report over an events channel; the supervisor
+//!   tracks the oldest heartbeat, and on a panic report / silent stage /
+//!   severed channel flips a shared abort flag, drains what it can within
+//!   a shutdown grace period, joins the workers that reported in,
+//!   detaches the rest, and surfaces a typed [`PipelineFault`] instead of
+//!   hanging.
 //! * **Run supervision** ([`run_supervised`], [`RecoveryPolicy`]): wraps
 //!   the snapshot-driven training loop. On a fault it rebuilds the engine
 //!   and resumes from the latest *valid* snapshot with bounded retries and
-//!   exponential backoff; when the fault keeps recurring it degrades to
-//!   the deterministic emulator of the same configuration
-//!   ([`degraded_spec`]) and finishes training there, logging every
-//!   fault/restart/degradation through
+//!   exponential backoff; a fault that outlasts the retries ends the run
+//!   in its typed error. Every fault, backoff and restart is logged
+//!   through
 //!   [`TrainHooks::on_supervision_event`](crate::metrics::TrainHooks::on_supervision_event).
 
 use crate::engine::{EngineSpec, RunConfig};
 use crate::fault::{PipelineFault, RunError};
-use crate::metrics::{StageCounters, TrainHooks};
-use crate::resume::{
-    resume_degraded, resume_training, run_training_with_snapshots, SnapshotPolicy,
-};
-use crate::threaded::StageSlot;
+use crate::group::StageGroup;
+use crate::metrics::TrainHooks;
+use crate::resume::{resume_training, run_training_with_snapshots, SnapshotPolicy};
 use crate::trainer::TrainReport;
 use pbp_nn::{Network, Stage};
 use pbp_snapshot::latest_valid_snapshot;
@@ -41,8 +38,8 @@ pub struct Watchdog {
     /// A live stage silent for longer than this (while work is
     /// outstanding) is declared stalled.
     pub stall_timeout: Duration,
-    /// Supervisor bounded-wait tick: how long any single feed/park wait
-    /// blocks before liveness is re-checked.
+    /// Bounded-wait tick: how long any single wait, the supervisor's or a
+    /// stage's, blocks before liveness is re-checked.
     pub poll: Duration,
     /// After a fault is flagged, how long the supervisor waits for
     /// workers to acknowledge the abort before detaching them.
@@ -78,28 +75,28 @@ impl Watchdog {
 }
 
 /// How a stage worker's run ended.
-#[derive(Debug)]
 pub(crate) enum StageOutcome {
-    /// The worker drained its stream and exited its loop.
-    Completed,
+    /// The worker finished its microbatches; carries their losses.
+    Completed(Vec<f32>),
     /// The worker's body panicked; caught by `catch_unwind`.
     Panicked(String),
+    /// A neighbour's link end disappeared mid-run.
+    LinkClosed,
+    /// The worker observed the abort flag.
+    Aborted,
 }
 
-/// A worker's final report: its stage, optimizer slot and counters travel
-/// back to the supervisor by value, so a clean run reassembles the
-/// network without joining on thread results.
-#[derive(Debug)]
+/// A worker's final report: its stage and stage group travel back to the
+/// supervisor by value, so a clean run reassembles the network without
+/// joining on thread results.
 pub(crate) struct StageDone {
     pub stage_idx: usize,
     pub stage: Stage,
-    pub slot: StageSlot,
-    pub counters: StageCounters,
+    pub group: StageGroup,
     pub outcome: StageOutcome,
 }
 
 /// Worker → supervisor control-plane traffic.
-#[derive(Debug)]
 pub(crate) enum StageEvent {
     /// Rate-limited liveness signal.
     Beat { stage: usize },
@@ -143,11 +140,15 @@ impl StreamSupervisor {
             StageEvent::Beat { stage } => self.last_beat[stage] = Instant::now(),
             StageEvent::Done(done) => {
                 let s = done.stage_idx;
-                if let StageOutcome::Panicked(message) = &done.outcome {
-                    self.flag(PipelineFault::StagePanicked {
+                match &done.outcome {
+                    StageOutcome::Panicked(message) => self.flag(PipelineFault::StagePanicked {
                         stage: s,
                         message: message.clone(),
-                    });
+                    }),
+                    StageOutcome::LinkClosed => {
+                        self.flag(PipelineFault::ChannelClosed { stage: s })
+                    }
+                    StageOutcome::Completed(_) | StageOutcome::Aborted => {}
                 }
                 if self.done[s].is_none() {
                     self.done_count += 1;
@@ -170,17 +171,16 @@ impl StreamSupervisor {
 
     /// Records `fault` and starts the abort protocol. Root causes beat
     /// symptoms: a stage panic or stall detected *after* a secondary
-    /// channel-closed/incomplete fault replaces it (the disconnect a dead
-    /// stage leaves behind often reaches the supervisor before the
-    /// worker's own panic report does). Among equal-priority faults the
-    /// first one wins.
+    /// channel-closed fault replaces it (the disconnect a dead stage
+    /// leaves behind often reaches the supervisor before the worker's own
+    /// panic report does). Among equal-priority faults the first one
+    /// wins.
     pub(crate) fn flag(&mut self, fault: PipelineFault) {
         fn priority(f: &PipelineFault) -> u8 {
             match f {
-                PipelineFault::StagePanicked { .. } => 3,
-                PipelineFault::StageStalled { .. } => 2,
-                PipelineFault::ChannelClosed { .. } => 1,
-                PipelineFault::Incomplete { .. } => 0,
+                PipelineFault::StagePanicked { .. } => 2,
+                PipelineFault::StageStalled { .. } => 1,
+                PipelineFault::ChannelClosed { .. } => 0,
             }
         }
         if self
@@ -227,30 +227,26 @@ impl StreamSupervisor {
         false
     }
 
+    #[cfg(test)]
     pub(crate) fn fault(&self) -> Option<&PipelineFault> {
         self.fault.as_ref()
     }
 
     /// Consumes the supervisor: the fault if one was flagged, otherwise
-    /// the reassembled per-stage payloads in stage order.
-    pub(crate) fn into_result(
-        self,
-    ) -> Result<Vec<(Stage, StageSlot, StageCounters)>, PipelineFault> {
+    /// the per-stage reports in stage order.
+    pub(crate) fn into_result(self) -> Result<Vec<StageDone>, PipelineFault> {
         if let Some(fault) = self.fault {
             return Err(fault);
         }
         Ok(self
             .done
             .into_iter()
-            .map(|d| {
-                let d = d.expect("no fault implies every stage reported");
-                (d.stage, d.slot, d.counters)
-            })
+            .map(|d| d.expect("no fault implies every stage reported"))
             .collect())
     }
 }
 
-/// Retry-and-degrade policy of [`run_supervised`].
+/// Retry policy of [`run_supervised`].
 #[derive(Debug, Clone)]
 pub struct RecoveryPolicy {
     /// Restart (resume-from-snapshot) attempts after the initial run.
@@ -258,9 +254,6 @@ pub struct RecoveryPolicy {
     /// Backoff before the first restart; doubles per attempt (capped at
     /// 64×).
     pub backoff: Duration,
-    /// After retries are exhausted, fall back to the deterministic
-    /// emulator ([`degraded_spec`]) instead of failing.
-    pub degrade: bool,
 }
 
 impl Default for RecoveryPolicy {
@@ -268,7 +261,6 @@ impl Default for RecoveryPolicy {
         RecoveryPolicy {
             max_restarts: 3,
             backoff: Duration::from_millis(50),
-            degrade: true,
         }
     }
 }
@@ -279,14 +271,7 @@ impl RecoveryPolicy {
         RecoveryPolicy {
             max_restarts,
             backoff: Duration::ZERO,
-            degrade: true,
         }
-    }
-
-    /// Disables the degradation fallback: exhausted retries fail the run.
-    pub fn no_degrade(mut self) -> Self {
-        self.degrade = false;
-        self
     }
 }
 
@@ -314,11 +299,6 @@ pub enum SupervisionEvent {
         /// Length of the sleep.
         delay: Duration,
     },
-    /// Retries exhausted; the run switched to the deterministic emulator.
-    Degraded {
-        /// Label of the engine taking over.
-        to: String,
-    },
 }
 
 impl std::fmt::Display for SupervisionEvent {
@@ -337,46 +317,19 @@ impl std::fmt::Display for SupervisionEvent {
             SupervisionEvent::Backoff { attempt, delay } => {
                 write!(f, "backoff before restart {attempt}: {delay:?}")
             }
-            SupervisionEvent::Degraded { to } => write!(f, "degraded to {to}"),
         }
     }
 }
 
-/// The result of a supervised run that completed (possibly degraded).
+/// The result of a supervised run that completed.
 #[derive(Debug)]
 pub struct SupervisedOutcome {
     /// The finished training report.
     pub report: TrainReport,
     /// Everything the supervisor did, in order.
     pub events: Vec<SupervisionEvent>,
-    /// Restarts performed before completion (or degradation).
+    /// Restarts performed before completion.
     pub restarts: usize,
-    /// Whether the run finished on the degraded engine.
-    pub degraded: bool,
-}
-
-/// The deterministic emulator equivalent of a threaded spec — where a
-/// supervised run lands when the threaded runtime keeps faulting. The
-/// fill/drain threaded mode maps to [`FillDrainTrainer`](crate::FillDrainTrainer)
-/// at update size one; free-running PB maps to the cycle-accurate
-/// [`PipelinedTrainer`](crate::PipelinedTrainer) with the same mitigation
-/// and stashing. Non-threaded specs have no degraded form.
-pub fn degraded_spec(spec: &EngineSpec) -> Option<EngineSpec> {
-    match spec {
-        EngineSpec::Threaded(cfg) if cfg.drains_per_sample() => Some(EngineSpec::FillDrain {
-            schedule: cfg.schedule.clone(),
-            update_size: 1,
-        }),
-        EngineSpec::Threaded(cfg) => {
-            let mut pb = crate::emulator::PbConfig::plain(cfg.schedule.clone())
-                .with_mitigation(cfg.mitigation);
-            if cfg.weight_stashing {
-                pb = pb.with_weight_stashing();
-            }
-            Some(EngineSpec::Pb(pb))
-        }
-        _ => None,
-    }
 }
 
 /// Runs `spec` to completion under snapshot-backed fault recovery.
@@ -385,17 +338,14 @@ pub fn degraded_spec(spec: &EngineSpec) -> Option<EngineSpec> {
 /// snapshot, a resume of it) trains with periodic snapshots. On a
 /// [`RunError::Fault`] the engine is rebuilt from `make_net` and resumed
 /// from the latest valid snapshot, up to `recovery.max_restarts` times
-/// with doubling backoff. If the fault keeps recurring and
-/// `recovery.degrade` is set, the run switches to [`degraded_spec`] — the
-/// deterministic emulator with the same optimizer configuration — resumes
-/// network weights and run progress from the last valid snapshot (fresh
-/// optimizer state; see DESIGN.md §9), and finishes there, snapshotting
-/// into `policy.dir/degraded`. Every fault, restart and degradation is
-/// reported through `hooks` and returned in the outcome's event log.
+/// with doubling backoff; a fault that recurs past the last restart is
+/// returned. Every fault, backoff and restart is reported through `hooks`
+/// and returned in the outcome's event log.
 ///
-/// For a deterministic engine (threaded fill/drain), a faulted-and-
-/// resumed run is bit-identical to an uninterrupted one — the same
-/// guarantee [`resume_training`] provides, now applied automatically.
+/// Every engine is deterministic, the threaded one included, so a
+/// faulted-and-resumed run is bit-identical to an uninterrupted one — the
+/// same guarantee [`resume_training`] provides, now applied
+/// automatically.
 #[allow(clippy::too_many_arguments)]
 pub fn run_supervised(
     spec: &EngineSpec,
@@ -430,7 +380,6 @@ pub fn run_supervised(
                     report,
                     events,
                     restarts: attempt,
-                    degraded: false,
                 })
             }
             Err(RunError::Fault(fault)) => {
@@ -441,12 +390,7 @@ pub fn run_supervised(
                 hooks.on_supervision_event(&event);
                 events.push(event);
                 if attempt >= recovery.max_restarts {
-                    if !recovery.degrade {
-                        return Err(RunError::Fault(fault));
-                    }
-                    return run_degraded(
-                        spec, make_net, train, val, config, policy, hooks, events, attempt, fault,
-                    );
+                    return Err(RunError::Fault(fault));
                 }
                 attempt += 1;
                 let backoff = recovery.backoff * (1u32 << (attempt - 1).min(6) as u32);
@@ -473,106 +417,9 @@ pub fn run_supervised(
     }
 }
 
-/// The degradation tail of [`run_supervised`]: switch the run to the
-/// deterministic emulator and finish it there.
-#[allow(clippy::too_many_arguments)]
-fn run_degraded(
-    spec: &EngineSpec,
-    make_net: &mut dyn FnMut() -> Network,
-    train: &pbp_data::Dataset,
-    val: &pbp_data::Dataset,
-    config: &RunConfig,
-    policy: &SnapshotPolicy,
-    hooks: &mut dyn TrainHooks,
-    mut events: Vec<SupervisionEvent>,
-    restarts: usize,
-    last_fault: PipelineFault,
-) -> Result<SupervisedOutcome, RunError> {
-    let Some(fallback) = degraded_spec(spec) else {
-        // Nothing deterministic to fall back to — surface the fault.
-        return Err(RunError::Fault(last_fault));
-    };
-    let event = SupervisionEvent::Degraded {
-        to: fallback.label(),
-    };
-    hooks.on_supervision_event(&event);
-    events.push(event);
-    // Degraded snapshots go to a subdirectory: the fresh engine's sample
-    // counter restarts, so its snapshot names must not collide with (or be
-    // shadowed by) the faulted run's.
-    let degraded_policy = SnapshotPolicy {
-        dir: policy.dir.join("degraded"),
-        every_updates: policy.every_updates,
-        keep: policy.keep,
-    };
-    let mut engine = fallback.build(make_net());
-    let report = if let Some(own) = latest_valid_snapshot(&degraded_policy.dir)? {
-        // An earlier degraded attempt got this far — continue it.
-        resume_training(
-            engine.as_mut(),
-            train,
-            val,
-            config,
-            Some(&degraded_policy),
-            &own,
-            hooks,
-        )?
-    } else if let Some(snapshot) = latest_valid_snapshot(&policy.dir)? {
-        resume_degraded(
-            engine.as_mut(),
-            train,
-            val,
-            config,
-            Some(&degraded_policy),
-            &snapshot,
-            &spec.label(),
-            hooks,
-        )?
-    } else {
-        run_training_with_snapshots(engine.as_mut(), train, val, config, &degraded_policy, hooks)?
-    };
-    Ok(SupervisedOutcome {
-        report,
-        events,
-        restarts,
-        degraded: true,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::emulator::PbConfig;
-    use crate::threaded::ThreadedConfig;
-    use pbp_optim::{Hyperparams, LrSchedule, Mitigation};
-
-    fn schedule() -> LrSchedule {
-        LrSchedule::constant(Hyperparams::new(0.05, 0.9))
-    }
-
-    #[test]
-    fn degraded_specs_map_to_deterministic_engines() {
-        let fd = degraded_spec(&EngineSpec::Threaded(
-            ThreadedConfig::fill_drain(schedule()),
-        ));
-        assert!(matches!(
-            fd,
-            Some(EngineSpec::FillDrain { update_size: 1, .. })
-        ));
-        let pb = degraded_spec(&EngineSpec::Threaded(
-            ThreadedConfig::pb(schedule())
-                .with_mitigation(Mitigation::scd())
-                .with_weight_stashing(),
-        ));
-        match pb {
-            Some(EngineSpec::Pb(cfg)) => {
-                assert!(cfg.weight_stashing);
-                assert_eq!(cfg.mitigation.label(), Mitigation::scd().label());
-            }
-            other => panic!("expected Pb spec, got {other:?}"),
-        }
-        assert!(degraded_spec(&EngineSpec::Pb(PbConfig::plain(schedule()))).is_none());
-    }
 
     #[test]
     fn watchdog_flags_oldest_silent_stage() {
@@ -601,17 +448,14 @@ mod tests {
     fn root_cause_faults_beat_symptoms() {
         let mut sup = StreamSupervisor::new(1, Watchdog::fast());
         sup.flag(PipelineFault::ChannelClosed { stage: 0 });
-        // A lower-priority symptom cannot displace it...
-        sup.flag(PipelineFault::Incomplete {
-            expected: 5,
-            completed: 1,
-        });
+        // An equal-priority symptom cannot displace it...
+        sup.flag(PipelineFault::ChannelClosed { stage: 3 });
         assert!(matches!(
             sup.fault(),
             Some(PipelineFault::ChannelClosed { stage: 0 })
         ));
-        // ...but the late-arriving root cause (a worker's panic report)
-        // upgrades the recorded fault.
+        // ...but a late-arriving root cause (a worker's panic report) upgrades
+        // the recorded fault.
         sup.flag(PipelineFault::StagePanicked {
             stage: 2,
             message: "boom".into(),

@@ -3,20 +3,18 @@
 //! * (a) injected stage panics and stalls surface as typed
 //!   [`PipelineFault`]s within the watchdog timeout — never a deadlock,
 //!   across a proptest sweep of random fault plans;
-//! * (b) a kill-at-update-N plus supervisor auto-resume of the
-//!   deterministic threaded fill/drain engine is bit-identical to the
-//!   uninterrupted run;
-//! * (c) a repeatedly-failing stage degrades the run to the deterministic
-//!   emulator, which completes training with the switchover recorded in
-//!   the metrics output.
+//! * (b) a kill-at-update-N plus supervisor auto-resume of the threaded
+//!   fill/drain engine is bit-identical to the uninterrupted run;
+//! * (c) a repeatedly-failing stage ends the run in its typed fault once
+//!   the restarts run out.
 
 use pbp_data::{blobs, Dataset};
 use pbp_nn::models::mlp;
 use pbp_nn::Network;
 use pbp_optim::{scale_hyperparams, Hyperparams, LrSchedule};
 use pbp_pipeline::{
-    run_supervised, run_training_with_snapshots, EngineSpec, FaultPlan, FaultSpec, JsonSink,
-    NoHooks, PipelineFault, RecoveryPolicy, RunConfig, RunError, SnapshotPolicy, SupervisionEvent,
+    run_supervised, run_training_with_snapshots, EngineSpec, FaultPlan, FaultSpec, NoHooks,
+    PipelineFault, RecoveryPolicy, RunConfig, RunError, SnapshotPolicy, SupervisionEvent,
     ThreadedConfig, ThreadedPipeline, Watchdog,
 };
 use pbp_snapshot::{latest_valid_snapshot, SnapshotArchive};
@@ -146,10 +144,9 @@ proptest! {
     }
 }
 
-/// (b) Kill at update N, then supervisor auto-resume: for the
-/// deterministic threaded fill/drain engine the recovered run must be
-/// bit-identical to an uninterrupted one — same epoch records, same
-/// final weights.
+/// (b) Kill at update N, then supervisor auto-resume: for the threaded
+/// fill/drain engine the recovered run must be bit-identical to an
+/// uninterrupted one — same epoch records, same final weights.
 #[test]
 fn supervised_recovery_is_bit_identical_for_deterministic_engine() {
     let data = blobs(3, 10, 0.4, 9);
@@ -191,7 +188,6 @@ fn supervised_recovery_is_bit_identical_for_deterministic_engine() {
     .expect("supervised run recovers");
 
     assert!(outcome.restarts >= 1, "the fault must actually have fired");
-    assert!(!outcome.degraded);
     assert!(outcome
         .events
         .iter()
@@ -224,66 +220,14 @@ fn supervised_recovery_is_bit_identical_for_deterministic_engine() {
     let _ = std::fs::remove_dir_all(&chaos_dir);
 }
 
-/// (c) A hard (recurring) fault exhausts retries and degrades to the
-/// deterministic emulator, which completes the run; the switchover is
-/// visible in the recorded metrics JSON.
+/// (c) A hard (recurring) fault that outlasts the retries surfaces as the
+/// last typed fault.
 #[test]
-fn repeated_fault_degrades_to_emulator_and_completes() {
-    let data = blobs(3, 8, 0.4, 11);
-    let (train, val) = data.split(0.25);
-    let config = RunConfig::new(2, 23);
-    let dir = tmpdir("degrade");
-    let spec = EngineSpec::Threaded(
-        ThreadedConfig::fill_drain(schedule())
-            .with_fault_plan(FaultPlan::new(0).with(FaultSpec::panic_at(1, 5).recurring()))
-            .with_watchdog(Watchdog::fast()),
-    );
-    let sink_path = dir.join("metrics.json");
-    let mut sink = JsonSink::new(&sink_path);
-    let outcome = run_supervised(
-        &spec,
-        &mut || fresh_net(13),
-        &train,
-        &val,
-        &config,
-        &SnapshotPolicy::new(&dir, 2),
-        &RecoveryPolicy::immediate(1),
-        &mut sink,
-    )
-    .expect("degraded run completes");
-
-    assert!(outcome.degraded, "run must have degraded");
-    assert_eq!(outcome.restarts, 1);
-    let degraded_to = outcome.events.iter().find_map(|e| match e {
-        SupervisionEvent::Degraded { to } => Some(to.clone()),
-        _ => None,
-    });
-    assert_eq!(degraded_to.as_deref(), Some("Fill&Drain SGDM (N=1)"));
-    // Training finished: one record per epoch, all finite.
-    assert_eq!(outcome.report.records.len(), config.epochs);
-    assert!(outcome
-        .report
-        .records
-        .iter()
-        .all(|r| r.train_loss.is_finite() && r.val_acc.is_finite()));
-
-    // The switchover shows up in the metrics the sink recorded.
-    let json = sink.to_json();
-    assert!(json.contains("\"supervision\":["), "{json}");
-    assert!(json.contains("degraded to Fill&Drain SGDM (N=1)"), "{json}");
-    assert!(json.contains("panicked"), "{json}");
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// With degradation disabled, exhausted retries surface the last typed
-/// fault instead.
-#[test]
-fn no_degrade_policy_surfaces_fault_after_retries() {
+fn recurring_fault_surfaces_typed_error_after_retries() {
     let data = blobs(3, 8, 0.4, 12);
     let (train, val) = data.split(0.25);
     let config = RunConfig::new(1, 29);
-    let dir = tmpdir("nodegrade");
+    let dir = tmpdir("recurring");
     let spec = EngineSpec::Threaded(
         ThreadedConfig::fill_drain(schedule())
             .with_fault_plan(FaultPlan::new(0).with(FaultSpec::panic_at(0, 2).recurring()))
@@ -296,10 +240,10 @@ fn no_degrade_policy_surfaces_fault_after_retries() {
         &val,
         &config,
         &SnapshotPolicy::new(&dir, 2),
-        &RecoveryPolicy::immediate(1).no_degrade(),
+        &RecoveryPolicy::immediate(1),
         &mut NoHooks,
     )
-    .expect_err("must fail without a degradation path");
+    .expect_err("a recurring fault must fail the run");
     match err {
         RunError::Fault(PipelineFault::StagePanicked { stage: 0, .. }) => {}
         other => panic!("expected the recurring stage-0 panic, got {other}"),

@@ -3,7 +3,8 @@
 //!
 //! * fill-and-drain at N = 1 is bit-identical to sequential SGDM;
 //! * the PB emulator with all delays forced to 0 is bit-identical to SGDM;
-//! * the threaded fill-and-drain runtime matches sequential SGDM;
+//! * the threaded fill-and-drain runtime is bit-identical to sequential
+//!   SGDM, and every threaded plan to the sequential core;
 //! * the PB emulator's measured delay histogram is exactly Eq. 5.
 
 use pbp_data::{blobs, DatasetSpec, SyntheticImages};
@@ -12,7 +13,7 @@ use pbp_nn::Network;
 use pbp_optim::{Hyperparams, LrSchedule, Mitigation};
 use pbp_pipeline::{
     run_training, stage_delay, DelayDistribution, DelayedConfig, EngineSpec, JsonSink, MetricsSink,
-    NoHooks, PbConfig, RunConfig, ScheduledConfig, ThreadedConfig,
+    MicrobatchSchedule, NoHooks, PbConfig, RunConfig, ScheduledConfig, ThreadedConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,16 +31,6 @@ fn assert_networks_equal(a: &Network, b: &Network, context: &str) {
     for s in 0..a.num_stages() {
         for (p, q) in a.stage(s).params().iter().zip(b.stage(s).params()) {
             assert_eq!(p.as_slice(), q.as_slice(), "{context}: stage {s}");
-        }
-    }
-}
-
-fn assert_networks_close(a: &Network, b: &Network, tol: f32, context: &str) {
-    for s in 0..a.num_stages() {
-        for (p, q) in a.stage(s).params().iter().zip(b.stage(s).params()) {
-            for (x, y) in p.as_slice().iter().zip(q.as_slice()) {
-                assert!((x - y).abs() < tol, "{context}: stage {s}: {x} vs {y}");
-            }
         }
     }
 }
@@ -186,12 +177,84 @@ fn threaded_fill_drain_matches_sgdm_batch_1() {
             assert_eq!(delay, 0, "stage {s}");
         }
     }
-    assert_networks_close(
+    assert_networks_equal(
         &threaded.into_network(),
         &sgdm.into_network(),
-        1e-5,
         "threaded fill&drain vs SGDM batch 1",
     );
+}
+
+/// The threaded engine runs the shared stage-group loop over the same
+/// `StageCell`s as the sequential core, so on the same plan the two are
+/// bit-identical — weights, f64 loss sums of every training call and the
+/// per-stage Eq. 5 delay histograms — whatever the kernel pool size and
+/// wherever the calls cut the epochs.
+#[test]
+fn threaded_plans_are_bit_identical_to_the_sequential_core() {
+    let data = blobs(3, 24, 0.4, 12);
+    let pb = MicrobatchSchedule::PipelinedBackprop;
+    // Small enough a step that plain PB at D_0 = 6 stays finite.
+    let schedule = || LrSchedule::constant(Hyperparams::new(0.01, 0.9));
+    let pairs = || {
+        [
+            (
+                ThreadedConfig::pb(schedule()),
+                ScheduledConfig::new(pb, schedule()),
+            ),
+            (
+                ThreadedConfig::pb(schedule()).with_mitigation(Mitigation::lwpv_scd()),
+                ScheduledConfig::new(pb, schedule()).with_mitigation(Mitigation::lwpv_scd()),
+            ),
+            (
+                ThreadedConfig::pb(schedule()).with_weight_stashing(),
+                ScheduledConfig::new(pb, schedule()).with_weight_stashing(),
+            ),
+            (
+                ThreadedConfig::fill_drain(schedule()),
+                ScheduledConfig::new(MicrobatchSchedule::FillDrain { update_size: 1 }, schedule()),
+            ),
+        ]
+    };
+    for threads in [1, 2] {
+        pbp_tensor::pool::set_max_threads(threads);
+        for (threaded_cfg, core_cfg) in pairs() {
+            let label = format!("{} at {threads} pool threads", core_cfg.label());
+            let eq5 = core_cfg.plan == pb;
+            let mut rng = StdRng::seed_from_u64(31);
+            let net = mlp(&[2, 10, 8, 3], &mut rng);
+            let pipeline_stages = net.pipeline_stage_count();
+            let mut threaded = EngineSpec::Threaded(threaded_cfg).build(net);
+            let mut rng = StdRng::seed_from_u64(31);
+            let mut core = EngineSpec::Scheduled(core_cfg).build(mlp(&[2, 10, 8, 3], &mut rng));
+            for epoch in 0..3 {
+                // Uneven slices: calls end mid-epoch with the pipeline's
+                // version queues full, exactly where snapshots are taken.
+                for slice in data.epoch_order(9, epoch).chunks(17) {
+                    let (a, n) = threaded.train_range(&data, slice);
+                    let (b, m) = core.train_range(&data, slice);
+                    assert!(a.is_finite(), "{label}: diverged");
+                    assert_eq!((a.to_bits(), n), (b.to_bits(), m), "{label}: loss sum");
+                }
+            }
+            let (mt, mc) = (threaded.metrics(), core.metrics());
+            for (s, (t, c)) in mt.stages.iter().zip(&mc.stages).enumerate() {
+                assert_eq!(t.updates, c.updates, "{label}: stage {s} updates");
+                assert_eq!(t.delay_hist, c.delay_hist, "{label}: stage {s} delays");
+            }
+            if eq5 {
+                for (s, stage) in mt.stages.iter().enumerate() {
+                    let keys: Vec<usize> = stage.delay_hist.keys().copied().collect();
+                    assert_eq!(
+                        keys,
+                        vec![stage_delay(s, pipeline_stages)],
+                        "{label}: Eq. 5"
+                    );
+                }
+            }
+            assert_networks_equal(&threaded.into_network(), &core.into_network(), &label);
+        }
+    }
+    pbp_tensor::pool::set_max_threads(1);
 }
 
 /// The kernel worker pool must never change training results: a threaded
@@ -199,9 +262,8 @@ fn threaded_fill_drain_matches_sgdm_batch_1() {
 /// serial) and one with it enabled (8 threads) must land on bit-identical
 /// final weights from the same seed.
 ///
-/// Fill-and-drain mode pins the sample/update schedule (the free-running PB
-/// schedule depends on real thread timing), so the kernel pool is the only
-/// variable. The network is sized so its inner conv GEMMs (16 channels on
+/// Both runs use the same plan (fill-and-drain), so the kernel pool is the
+/// only variable. The network is sized so its inner conv GEMMs (16 channels on
 /// 12×12 feature maps → m·k·n ≈ 330k elements) cross the parallel-dispatch
 /// threshold — with `max_threads = 8` those products really do fan out
 /// across pool workers *from inside the engine's stage threads*.

@@ -3,11 +3,6 @@
 //! finish with weights bit-identical to an uninterrupted snapshotting
 //! run — and the snapshotting runner itself must not perturb training
 //! relative to the plain [`run_training`] loop.
-//!
-//! The threaded engine participates in fill-and-drain mode, which is
-//! deterministic; its free-running PB mode has a timing-dependent weight
-//! trajectory (the realized delays emerge from thread interleaving), so
-//! no two runs of it are comparable bit-for-bit, snapshots or not.
 
 use pbp_data::blobs;
 use pbp_nn::models::mlp;
@@ -31,7 +26,7 @@ fn fresh_net(seed: u64) -> Network {
     mlp(&[2, 10, 3], &mut rng)
 }
 
-/// Every engine with a deterministic weight trajectory.
+/// Every engine, each with a deterministic weight trajectory.
 fn deterministic_specs() -> Vec<EngineSpec> {
     vec![
         EngineSpec::Sgdm {
@@ -52,6 +47,9 @@ fn deterministic_specs() -> Vec<EngineSpec> {
             delay_seed: 7,
         },
         EngineSpec::Threaded(ThreadedConfig::fill_drain(schedule())),
+        EngineSpec::Threaded(
+            ThreadedConfig::pb(schedule()).with_mitigation(Mitigation::lwpv_scd()),
+        ),
         EngineSpec::Scheduled(ScheduledConfig::one_f_one_b(4, schedule())),
         EngineSpec::Scheduled(ScheduledConfig::two_bp(4, schedule())),
     ]

@@ -1,16 +1,16 @@
 //! Chaos-trace satellite: a `FaultPlan` run under the supervisor must
-//! leave a coherent trace — the stage panic, supervisor backoff, restart
-//! and degradation switchover all appear as instant events in causal
-//! order, and the post-restart stage lanes resume at exactly the sample
-//! cursor named by the restart's snapshot.
+//! leave a coherent trace — the stage panic, supervisor backoff and
+//! restart all appear as instant events in causal order, and the
+//! post-restart stage lanes resume at exactly the sample cursor named by
+//! the restart's snapshot.
 
 use pbp_data::blobs;
 use pbp_nn::models::mlp;
 use pbp_nn::Network;
 use pbp_optim::{scale_hyperparams, Hyperparams, LrSchedule};
 use pbp_pipeline::{
-    run_supervised, EngineSpec, FaultPlan, FaultSpec, NoHooks, RecoveryPolicy, RunConfig,
-    SnapshotPolicy, ThreadedConfig, TraceHooks, Watchdog,
+    run_supervised, EngineSpec, FaultPlan, FaultSpec, NoHooks, PipelineFault, RecoveryPolicy,
+    RunConfig, RunError, SnapshotPolicy, ThreadedConfig, TraceHooks, Watchdog,
 };
 use pbp_trace::{TraceLane, TracePhase, Tracer, PID_WALL};
 use rand::rngs::StdRng;
@@ -80,7 +80,6 @@ fn trace_orders_fault_backoff_restart_and_resumes_at_cursor() {
         &RecoveryPolicy {
             max_restarts: 3,
             backoff: Duration::from_millis(1),
-            degrade: true,
         },
         &mut hooks,
     )
@@ -147,15 +146,15 @@ fn trace_orders_fault_backoff_restart_and_resumes_at_cursor() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A recurring fault exhausts the single retry and degrades: the
-/// supervisor lane records exactly fault → backoff → restart → fault →
-/// degraded, in that order.
+/// A recurring fault exhausts the single retry: the supervisor lane
+/// records exactly fault → backoff → restart → fault, in that order, and
+/// the run ends in the typed fault.
 #[test]
-fn recurring_fault_trace_ends_in_degradation_switchover() {
+fn recurring_fault_trace_ends_in_typed_error() {
     let data = blobs(3, 8, 0.4, 11);
     let (train, val) = data.split(0.25);
     let config = RunConfig::new(2, 23);
-    let dir = tmpdir("degrade");
+    let dir = tmpdir("recurring");
     let tracer = Tracer::new();
     let spec = EngineSpec::Threaded(
         ThreadedConfig::fill_drain(schedule())
@@ -164,7 +163,7 @@ fn recurring_fault_trace_ends_in_degradation_switchover() {
             .with_tracer(tracer.clone()),
     );
     let mut hooks = TraceHooks::new(&tracer, NoHooks);
-    let outcome = run_supervised(
+    let err = run_supervised(
         &spec,
         &mut || fresh_net(13),
         &train,
@@ -174,12 +173,17 @@ fn recurring_fault_trace_ends_in_degradation_switchover() {
         &RecoveryPolicy {
             max_restarts: 1,
             backoff: Duration::from_millis(1),
-            degrade: true,
         },
         &mut hooks,
     )
-    .expect("degraded run completes");
-    assert!(outcome.degraded, "run must have degraded");
+    .expect_err("a recurring fault must fail the run");
+    assert!(
+        matches!(
+            err,
+            RunError::Fault(PipelineFault::StagePanicked { stage: 1, .. })
+        ),
+        "{err}"
+    );
     drop(hooks);
     let trace = tracer.finish();
 
@@ -194,19 +198,9 @@ fn recurring_fault_trace_ends_in_degradation_switchover() {
             TracePhase::Backoff,
             TracePhase::Restart,
             TracePhase::Fault,
-            TracePhase::Degraded,
         ],
         "supervision instants: {:?}",
         sup.instants
-    );
-    let degraded = sup.instants.last().unwrap();
-    assert!(
-        degraded
-            .detail
-            .as_deref()
-            .is_some_and(|d| d.contains("Fill&Drain SGDM")),
-        "switchover names the fallback engine: {:?}",
-        degraded.detail
     );
 
     let _ = std::fs::remove_dir_all(&dir);

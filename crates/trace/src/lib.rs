@@ -62,8 +62,6 @@ pub enum TracePhase {
     Backoff,
     /// A rank-to-rank link tore down and re-established with replay.
     Reconnect,
-    /// Switchover to the degraded (deterministic emulator) engine.
-    Degraded,
 }
 
 impl TracePhase {
@@ -80,7 +78,6 @@ impl TracePhase {
             TracePhase::Restart => "restart",
             TracePhase::Backoff => "backoff",
             TracePhase::Reconnect => "reconnect",
-            TracePhase::Degraded => "degraded",
         }
     }
 

@@ -36,7 +36,7 @@ cargo run --release -q -p pbp-bench --bin trace_smoke
 echo "== dist smoke (2-rank unix-socket run, bit-identical to the emulator) =="
 cargo run --release -q -p pbp-bench --bin dist_smoke
 
-echo "== dist bench lane (socket runner vs threaded engine, results/BENCH_dist.json) =="
+echo "== dist bench lane smoke (socket runner vs threaded engine, bit-identity guarded) =="
 PBP_BENCH_SMOKE=1 cargo run --release -q -p pbp-bench --bin bench_dist
 
 echo "== chaos dist smoke (4-rank net-fault soak: drops/dups/partition + single-rank kill) =="

@@ -103,38 +103,6 @@ pub mod channel {
         }
     }
 
-    /// Bounded-wait send outcome when the message was not enqueued; carries
-    /// the message back like the real crate.
-    #[derive(PartialEq, Eq)]
-    pub enum SendTimeoutError<T> {
-        /// The deadline passed with the channel still full.
-        Timeout(T),
-        /// Every `Receiver` was dropped.
-        Disconnected(T),
-    }
-
-    impl<T> fmt::Debug for SendTimeoutError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                SendTimeoutError::Timeout(_) => write!(f, "SendTimeoutError::Timeout(..)"),
-                SendTimeoutError::Disconnected(_) => {
-                    write!(f, "SendTimeoutError::Disconnected(..)")
-                }
-            }
-        }
-    }
-
-    impl<T> fmt::Display for SendTimeoutError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                SendTimeoutError::Timeout(_) => write!(f, "timed out waiting on send operation"),
-                SendTimeoutError::Disconnected(_) => {
-                    write!(f, "sending on a disconnected channel")
-                }
-            }
-        }
-    }
-
     /// Wakeup latch shared between `select2` and the channels it watches.
     pub(crate) struct SelectSignal {
         fired: Mutex<bool>,
@@ -166,20 +134,6 @@ pub mod channel {
             let _unused = self
                 .cond
                 .wait_timeout_while(guard, Duration::from_millis(50), |fired| !*fired)
-                .unwrap();
-        }
-
-        /// Waits until notified or `deadline` passes, whichever is first.
-        fn wait_until(&self, deadline: Instant) {
-            let now = Instant::now();
-            if now >= deadline {
-                return;
-            }
-            let cap = (deadline - now).min(Duration::from_millis(50));
-            let guard = self.fired.lock().unwrap();
-            let _unused = self
-                .cond
-                .wait_timeout_while(guard, cap, |fired| !*fired)
                 .unwrap();
         }
     }
@@ -283,36 +237,6 @@ pub mod channel {
             }
             if inner.cap.is_some_and(|c| inner.queue.len() >= c) {
                 return Err(TrySendError::Full(value));
-            }
-            inner.queue.push_back(value);
-            inner.notify_waiters();
-            self.shared.not_empty.notify_one();
-            Ok(())
-        }
-
-        /// Like [`Sender::send`], but gives up once `timeout` elapses with
-        /// the channel still full, returning the message either way.
-        pub fn send_timeout(&self, value: T, timeout: Duration) -> Result<(), SendTimeoutError<T>> {
-            let deadline = Instant::now() + timeout;
-            let mut inner = self.shared.inner.lock().unwrap();
-            loop {
-                if inner.receivers == 0 {
-                    return Err(SendTimeoutError::Disconnected(value));
-                }
-                let full = inner.cap.is_some_and(|c| inner.queue.len() >= c);
-                if !full {
-                    break;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(SendTimeoutError::Timeout(value));
-                }
-                let (guard, _timed_out) = self
-                    .shared
-                    .not_full
-                    .wait_timeout(inner, deadline - now)
-                    .unwrap();
-                inner = guard;
             }
             inner.queue.push_back(value);
             inner.notify_waiters();
@@ -478,42 +402,6 @@ pub mod channel {
             signal.wait();
         }
     }
-
-    /// [`select2`] with a deadline: returns `None` once `timeout` elapses
-    /// with neither channel ready. Same gradient-first polling order.
-    pub fn select2_timeout<A, B>(
-        a: &Receiver<A>,
-        b: &Receiver<B>,
-        timeout: Duration,
-    ) -> Option<Select2<A, B>> {
-        let deadline = Instant::now() + timeout;
-        let mut signal = None;
-        loop {
-            match a.try_recv() {
-                Ok(v) => return Some(Select2::First(Ok(v))),
-                Err(TryRecvError::Disconnected) => return Some(Select2::First(Err(RecvError))),
-                Err(TryRecvError::Empty) => {}
-            }
-            match b.try_recv() {
-                Ok(v) => return Some(Select2::Second(Ok(v))),
-                Err(TryRecvError::Disconnected) => return Some(Select2::Second(Err(RecvError))),
-                Err(TryRecvError::Empty) => {}
-            }
-            if Instant::now() >= deadline {
-                return None;
-            }
-            let signal = signal.get_or_insert_with(|| SELECT_SIGNAL.with(Arc::clone));
-            signal.reset();
-            a.register_waiter(signal);
-            b.register_waiter(signal);
-            // Re-check after registering so a send that raced ahead of the
-            // registration cannot leave us sleeping on a ready channel.
-            if a.is_ready() || b.is_ready() {
-                continue;
-            }
-            signal.wait_until(deadline);
-        }
-    }
 }
 
 /// Two-arm `select!` over `recv` operations, mirroring the call syntax of
@@ -538,8 +426,7 @@ macro_rules! select {
 #[cfg(test)]
 mod tests {
     use super::channel::{
-        bounded, select2_timeout, unbounded, RecvError, RecvTimeoutError, Select2, SendError,
-        SendTimeoutError, TryRecvError, TrySendError,
+        bounded, unbounded, RecvError, RecvTimeoutError, SendError, TryRecvError, TrySendError,
     };
     use std::thread;
     use std::time::{Duration, Instant};
@@ -679,41 +566,6 @@ mod tests {
         }
         drop(rx);
         assert_eq!(tx.try_send(100), Err(TrySendError::Disconnected(100)));
-    }
-
-    #[test]
-    fn send_timeout_on_full_bounded_channel() {
-        let (tx, rx) = bounded(1);
-        tx.send(1).unwrap();
-        assert_eq!(
-            tx.send_timeout(2, Duration::from_millis(20)),
-            Err(SendTimeoutError::Timeout(2))
-        );
-        assert_eq!(rx.recv(), Ok(1));
-        assert_eq!(tx.send_timeout(3, Duration::from_millis(20)), Ok(()));
-        drop(rx);
-        assert_eq!(
-            tx.send_timeout(4, Duration::from_millis(20)),
-            Err(SendTimeoutError::Disconnected(4))
-        );
-    }
-
-    #[test]
-    fn select2_timeout_times_out_and_sees_messages() {
-        let (tx_a, rx_a) = unbounded::<u32>();
-        let (tx_b, rx_b) = unbounded::<u32>();
-        assert!(select2_timeout(&rx_a, &rx_b, Duration::from_millis(20)).is_none());
-        tx_b.send(6).unwrap();
-        match select2_timeout(&rx_a, &rx_b, Duration::from_millis(20)) {
-            Some(Select2::Second(Ok(6))) => {}
-            other => panic!("expected second-arm message, got {:?}", other.is_some()),
-        }
-        drop(tx_a);
-        match select2_timeout(&rx_a, &rx_b, Duration::from_millis(20)) {
-            Some(Select2::First(Err(RecvError))) => {}
-            other => panic!("expected first-arm disconnect, got {:?}", other.is_some()),
-        }
-        drop(tx_b);
     }
 
     #[test]

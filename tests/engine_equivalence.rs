@@ -155,10 +155,8 @@ fn threaded_fill_drain_matches_sequential_sgdm_on_a_residual_net() {
         shape.extend_from_slice(x.shape());
         ref_losses.push(sgd.train_batch(&x.reshape(&shape).unwrap(), &[*l]));
     }
-    for (a, b) in losses.iter().zip(&ref_losses) {
-        assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-    }
-    assert_networks_equal(&na, &sgd.into_network(), 1e-4, "threaded drain vs SGDM");
+    assert_eq!(losses, ref_losses);
+    assert_networks_equal(&na, &sgd.into_network(), 0.0, "threaded drain vs SGDM");
 }
 
 #[test]
